@@ -168,7 +168,7 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 			}
 			return true
 		})
-		p.vf, p.residual = compileVecFilter(spec.Pred, ti.Meta.Schema, pos)
+		p.vf, p.residual = compileVecFilter(spec.Pred, n, pos)
 	}
 
 	if spec.Bloom != nil && !c.DisableNDPBloom && spec.BloomCol >= 0 && spec.BloomCol < n {

@@ -214,15 +214,16 @@ func (a *stmtAccess) fragSource(ti *TableInfo, f readFrag) (fragSource, error) {
 	return fragSource{row: ti.rowParts()[f.phys], xid: xid, snap: snap}, nil
 }
 
-// scanRowsWhere streams the source's visible rows through fn (cloned on
-// the row-store path), applying the zone-map segment pruner on columnar
-// sources.
+// scanRowsWhere streams the source's visible rows through fn, applying the
+// zone-map segment pruner on columnar sources. Row-store rows alias the
+// heap under its read lock: fn must not modify them, and must clone any
+// row it keeps past the call.
 func (src fragSource) scanRowsWhere(keep func(*colstore.Segment) bool, fn func(types.Row) bool) {
 	if src.col != nil {
 		src.col.ScanRowsWhere(src.xid, src.snap, keep, fn)
 		return
 	}
-	src.row.Scan(src.xid, src.snap, func(r types.Row) bool { return fn(r.Clone()) })
+	src.row.Scan(src.xid, src.snap, fn)
 }
 
 // Scan implements plan.Access.
@@ -281,6 +282,9 @@ func (a *stmtAccess) scan(meta *plan.TableMeta, pred exec.Expr) exec.Operator {
 					if owns != nil && !owns(r) {
 						return true // migration phantom / other half: skip, keep scanning
 					}
+					if src.row != nil {
+						r = r.Clone() // the row leaves the heap's lock
+					}
 					a.rowsShipped.Add(1)
 					shipped++
 					return emit(r)
@@ -312,15 +316,15 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 			return nil, err
 		}
 		// Vectorized fast path: columnar source and every group/agg
-		// expression a bare column reference -> aggregate directly over the
-		// decoded column vectors (the predicate, if any, evaluates row-wise
-		// over the projection). HTAP replicas are columnar, which is what
-		// buys row tables the vectorized path on offloaded statements.
-		// Bucket-ownership filtering is per-row, so once a migration has
-		// started the row-at-a-time fallback runs.
+		// expression a bare column reference -> filter and aggregate
+		// directly over the decoded column vectors (vecagg.go). HTAP
+		// replicas are columnar, which is what buys row tables the
+		// vectorized path on offloaded statements. Bucket-ownership
+		// filtering is per-row, so once a migration has started the
+		// row-at-a-time path runs.
 		var vp *vecPlan
 		if (ti.columnar() || a.htapServes(ti)) && !a.s.c.needsBucketFilter(ti) {
-			vp, _ = buildVecPlan(meta.Schema.Len(), pred, groupBy, aggs, out)
+			vp, _ = buildVecPlan(meta.Schema.Len(), pred, groupBy, aggs)
 		}
 		keep := a.s.c.segmentPruner(pred)
 		frags := make([]exec.Fragment, len(fragSet))
@@ -355,27 +359,35 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 					}
 					return ship(rows)
 				}
-				// Partition-local pipeline: scan -> filter -> partial agg.
-				// All of it evaluates "on the data node"; only the
-				// aggregate's output crosses to the coordinator.
+				// Row-at-a-time path: the scan callback filters each row in
+				// place and pushes it into the partial aggregate, all "on the
+				// data node"; only the aggregate's output crosses to the
+				// coordinator. HashAgg copies the key values it keeps, so
+				// heap rows are never cloned.
 				owns := a.s.c.fragFilter(ti, f)
-				var srcOp exec.Operator = exec.NewSource(meta.Name, meta.Schema, func(emitRow func(types.Row) bool) {
-					src.scanRowsWhere(keep, func(r types.Row) bool {
-						if owns != nil && !owns(r) {
+				partial := exec.NewHashAgg(groupBy, aggs)
+				var aggErr error
+				src.scanRowsWhere(keep, func(r types.Row) bool {
+					if owns != nil && !owns(r) {
+						return true
+					}
+					if pred != nil {
+						match, err := exec.EvalBool(pred, ctx, r)
+						if err != nil {
+							aggErr = err
+							return false
+						}
+						if !match {
 							return true
 						}
-						return emitRow(r)
-					})
+					}
+					aggErr = partial.Add(ctx, r)
+					return aggErr == nil
 				})
-				if pred != nil {
-					srcOp = &exec.Filter{Child: srcOp, Pred: pred}
+				if aggErr != nil {
+					return aggErr
 				}
-				partial := &exec.Agg{Child: srcOp, GroupBy: groupBy, Aggs: aggs, Out: out}
-				rows, err := exec.Collect(ctx, partial)
-				if err != nil {
-					return err
-				}
-				return ship(rows)
+				return ship(partial.Rows())
 			}
 		}
 		return frags, nil

@@ -9,10 +9,14 @@ import (
 
 // Vectorized aggregation fast path (paper §II: "our vectorized execution
 // engine is equipped with ... fine-grained parallelism"). When a partial
-// aggregate runs over a columnar partition and every expression is a plain
-// column reference, the accumulators consume the decoded column vectors
-// directly — no per-row types.Row materialization, no expression
-// interpreter in the inner loop.
+// aggregate runs over a columnar partition and every group/agg expression
+// is a plain column reference, the fragment works on the decoded column
+// vectors directly: the pushed predicate's col-op-const conjuncts run as
+// the NDP selection kernels (vecfilter.go), group keys are encoded straight
+// off the vectors (exec.AppendKey's encoding), and the accumulators read
+// the typed payload slices. Only a residual predicate — the conjuncts no
+// kernel covers — is evaluated row-wise. Adding a row to an existing group
+// allocates nothing.
 
 // vecPlan describes a vectorizable partial aggregate: positions are into
 // the scanned projection, not the table schema. A vecPlan is immutable
@@ -22,20 +26,23 @@ type vecPlan struct {
 	groupIdx  []int // projection positions of the group-by columns
 	aggIdx    []int // projection position per agg (-1 for count(*))
 	aggKinds  []exec.AggKind
-	out       *types.Schema
 	tableCols int
-	// pred, when non-nil, filters rows before accumulation. Its ColRefs
-	// index the table schema; eval materializes a sparse schema-width row
-	// from the projection.
-	pred exec.Expr
+	// vf holds the selection kernels of the predicate conjuncts it covers;
+	// residual is the rest (nil when everything vectorized). residual's
+	// ColRefs index the table schema; it evaluates over a sparse
+	// schema-width row holding just residCols (decoded at residPos).
+	vf        *vecFilter
+	residual  exec.Expr
+	residCols []int // table columns residual reads
+	residPos  []int // their projection positions
 }
 
 // buildVecPlan inspects the compiled aggregate; ok is false when any
 // group/agg expression is not a bare column reference (the generic row
 // path handles those). pred may be any partition-pure predicate over table
 // columns — its referenced columns join the scan projection.
-func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (*vecPlan, bool) {
-	p := &vecPlan{out: out, tableCols: schemaLen, pred: pred}
+func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec) (*vecPlan, bool) {
+	p := &vecPlan{tableCols: schemaLen}
 	proj := map[int]int{} // table col -> projection position
 	need := func(tableCol int) int {
 		if pos, ok := proj[tableCol]; ok {
@@ -46,21 +53,8 @@ func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exe
 		p.scanCols = append(p.scanCols, tableCol)
 		return pos
 	}
-	if pred != nil {
-		ok := true
-		exec.WalkExpr(pred, func(x exec.Expr) bool {
-			if cr, isRef := x.(*exec.ColRef); isRef {
-				if cr.Index >= schemaLen {
-					ok = false
-					return false
-				}
-				need(cr.Index)
-			}
-			return true
-		})
-		if !ok {
-			return nil, false
-		}
+	if pred != nil && !colRefsWithin(pred, schemaLen, func(c int) { need(c) }) {
+		return nil, false
 	}
 	for _, g := range groupBy {
 		cr, ok := g.(*exec.ColRef)
@@ -81,168 +75,259 @@ func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exe
 		}
 		p.aggIdx = append(p.aggIdx, need(cr.Index))
 	}
+	if pred != nil {
+		p.vf, p.residual = compileVecFilter(pred, schemaLen, proj)
+		if p.residual != nil {
+			seen := map[int]bool{}
+			colRefsWithin(p.residual, schemaLen, func(c int) {
+				if !seen[c] {
+					seen[c] = true
+					p.residCols = append(p.residCols, c)
+					p.residPos = append(p.residPos, proj[c])
+				}
+			})
+		}
+	}
 	return p, true
 }
 
-// vecAccum is one group's accumulator set.
-type vecAccum struct {
-	key    types.Row
-	counts []int64
-	sumI   []int64
-	sumF   []float64
-	isF    []bool
-	minMax []types.Datum
-	any    []bool
+// colRefsWithin calls fn for every column e references, reporting false
+// when one lies outside the first n table columns.
+func colRefsWithin(e exec.Expr, n int, fn func(col int)) bool {
+	ok := true
+	exec.WalkExpr(e, func(x exec.Expr) bool {
+		if cr, isRef := x.(*exec.ColRef); isRef {
+			if cr.Index >= n {
+				ok = false
+				return false
+			}
+			fn(cr.Index)
+		}
+		return true
+	})
+	return ok
 }
 
-func newVecAccum(key types.Row, nAggs int) *vecAccum {
-	return &vecAccum{
-		key:    key,
-		counts: make([]int64, nAggs),
-		sumI:   make([]int64, nAggs),
-		sumF:   make([]float64, nAggs),
-		isF:    make([]bool, nAggs),
-		minMax: make([]types.Datum, nAggs),
-		any:    make([]bool, nAggs),
-	}
+// vecState is one (group, aggregate) accumulator.
+type vecState struct {
+	count  int64
+	sumI   int64
+	sumF   float64
+	isF    bool
+	any    bool
+	minMax types.Datum
+}
+
+// vecAgg is one fragment's running partial aggregate. Groups live in
+// first-seen order: group g's key is keys[g] and its accumulators are
+// states[g*len(aggKinds) : (g+1)*len(aggKinds)].
+type vecAgg struct {
+	p      *vecPlan
+	ctx    *exec.Ctx
+	index  map[string]int // encoded group key -> group ordinal
+	keys   []types.Row
+	states []vecState
+	buf    []byte    // group-key scratch
+	sel    []bool    // selection vector scratch
+	sparse types.Row // residual-predicate row scratch
+}
+
+func newVecAgg(p *vecPlan, ctx *exec.Ctx) *vecAgg {
+	return &vecAgg{p: p, ctx: ctx, index: make(map[string]int)}
 }
 
 // runVectorizedPartialAgg aggregates one columnar partition; it returns
 // the partial rows (group key columns then agg values), matching what the
-// generic exec.Agg emits so the coordinator-side merge is identical. keep
-// is the zone-map segment filter (nil scans everything); ctx evaluates
-// p.pred.
+// generic exec.HashAgg emits so the coordinator-side merge is identical.
+// keep is the zone-map segment filter (nil scans everything); ctx
+// evaluates the residual predicate.
 func runVectorizedPartialAgg(tbl *colstore.Table, xid txnkit.XID, snap *txnkit.Snapshot, p *vecPlan, keep func(*colstore.Segment) bool, ctx *exec.Ctx) ([]types.Row, error) {
-	groups := map[string]*vecAccum{}
-	var order []string
-	var predRow types.Row // reused sparse row for predicate evaluation
+	va := newVecAgg(p, ctx)
 	var scanErr error
-
 	tbl.ScanBatchesWhere(xid, snap, p.scanCols, keep, func(b *colstore.Batch) bool {
-		for i := 0; i < b.N; i++ {
-			if p.pred != nil {
-				if predRow == nil {
-					predRow = make(types.Row, p.tableCols)
-				}
-				for j, c := range p.scanCols {
-					predRow[c] = b.Cols[j].DatumAt(i)
-				}
-				match, err := exec.EvalBool(p.pred, ctx, predRow)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !match {
-					continue
-				}
-			}
-			// Group key.
-			var acc *vecAccum
-			if len(p.groupIdx) == 0 {
-				acc = groups[""]
-				if acc == nil {
-					acc = newVecAccum(nil, len(p.aggKinds))
-					groups[""] = acc
-					order = append(order, "")
-				}
-			} else {
-				keyVals := make(types.Row, len(p.groupIdx))
-				for k, gi := range p.groupIdx {
-					keyVals[k] = b.Cols[gi].DatumAt(i)
-				}
-				key := keyVals.String()
-				acc = groups[key]
-				if acc == nil {
-					acc = newVecAccum(keyVals, len(p.aggKinds))
-					groups[key] = acc
-					order = append(order, key)
-				}
-			}
-			// Accumulate straight off the vectors.
-			for a, kind := range p.aggKinds {
-				if kind == exec.AggCountStar {
-					acc.counts[a]++
-					continue
-				}
-				vec := b.Cols[p.aggIdx[a]]
-				if vec.IsNull(i) {
-					continue
-				}
-				acc.counts[a]++
-				switch kind {
-				case exec.AggCount:
-					// count only
-				case exec.AggSum:
-					switch vec.Kind {
-					case types.KindInt, types.KindTime:
-						if acc.isF[a] {
-							acc.sumF[a] += float64(vec.Ints[i])
-						} else {
-							acc.sumI[a] += vec.Ints[i]
-						}
-					case types.KindFloat:
-						if !acc.isF[a] {
-							acc.sumF[a] = float64(acc.sumI[a])
-							acc.isF[a] = true
-						}
-						acc.sumF[a] += vec.Floats[i]
-					}
-				case exec.AggMin, exec.AggMax:
-					d := vec.DatumAt(i)
-					if !acc.any[a] {
-						acc.minMax[a] = d
-					} else if c, err := types.Compare(d, acc.minMax[a]); err == nil {
-						if (kind == exec.AggMin && c < 0) || (kind == exec.AggMax && c > 0) {
-							acc.minMax[a] = d
-						}
-					}
-				}
-				acc.any[a] = true
-			}
-		}
-		return true
+		scanErr = va.addBatch(b)
+		return scanErr == nil
 	})
 	if scanErr != nil {
 		return nil, scanErr
 	}
+	return va.rows(), nil
+}
 
-	// A global aggregate over an empty partition still emits its identity
-	// row (count=0, sums NULL), mirroring exec.Agg.
-	if len(order) == 0 && len(p.groupIdx) == 0 {
-		acc := newVecAccum(nil, len(p.aggKinds))
-		groups[""] = acc
-		order = append(order, "")
+// addBatch filters one batch and accumulates its surviving rows.
+func (va *vecAgg) addBatch(b *colstore.Batch) error {
+	p := va.p
+	if cap(va.sel) < b.N {
+		va.sel = make([]bool, b.N)
 	}
-
-	rows := make([]types.Row, 0, len(order))
-	for _, key := range order {
-		acc := groups[key]
-		row := make(types.Row, 0, len(p.groupIdx)+len(p.aggKinds))
-		row = append(row, acc.key...)
+	sel := va.sel[:b.N]
+	for i := range sel {
+		sel[i] = true
+	}
+	if p.vf != nil {
+		if err := p.vf.apply(b, sel); err != nil {
+			return err
+		}
+	}
+	nAggs := len(p.aggKinds)
+	for i, ok := range sel {
+		if !ok {
+			continue
+		}
+		if p.residual != nil {
+			match, err := va.evalResidual(b, i)
+			if err != nil {
+				return err
+			}
+			if !match {
+				continue
+			}
+		}
+		va.buf = va.buf[:0]
+		for _, gi := range p.groupIdx {
+			va.buf = appendVecKey(va.buf, b.Cols[gi], i)
+		}
+		g, found := va.index[string(va.buf)]
+		if !found {
+			g = va.newGroup(b, i)
+		}
+		states := va.states[g*nAggs : (g+1)*nAggs]
 		for a, kind := range p.aggKinds {
+			st := &states[a]
+			if kind == exec.AggCountStar {
+				st.count++
+				continue
+			}
+			vec := b.Cols[p.aggIdx[a]]
+			if vec.IsNull(i) {
+				continue
+			}
+			st.count++
 			switch kind {
-			case exec.AggCountStar, exec.AggCount:
-				row = append(row, types.NewInt(acc.counts[a]))
+			case exec.AggCount:
+				// count only
 			case exec.AggSum:
-				switch {
-				case !acc.any[a]:
-					row = append(row, types.Null)
-				case acc.isF[a]:
-					row = append(row, types.NewFloat(acc.sumF[a]))
-				default:
-					row = append(row, types.NewInt(acc.sumI[a]))
+				switch vec.Kind {
+				case types.KindInt, types.KindTime:
+					if st.isF {
+						st.sumF += float64(vec.Ints[i])
+					} else {
+						st.sumI += vec.Ints[i]
+					}
+				case types.KindFloat:
+					if !st.isF {
+						st.sumF = float64(st.sumI)
+						st.isF = true
+					}
+					st.sumF += vec.Floats[i]
 				}
 			case exec.AggMin, exec.AggMax:
-				if !acc.any[a] {
+				d := vec.DatumAt(i)
+				if !st.any {
+					st.minMax = d
+				} else if c, err := types.Compare(d, st.minMax); err == nil {
+					if (kind == exec.AggMin && c < 0) || (kind == exec.AggMax && c > 0) {
+						st.minMax = d
+					}
+				}
+			}
+			st.any = true
+		}
+	}
+	return nil
+}
+
+// evalResidual evaluates the residual predicate on batch row i.
+func (va *vecAgg) evalResidual(b *colstore.Batch, i int) (bool, error) {
+	if va.sparse == nil {
+		va.sparse = make(types.Row, va.p.tableCols)
+	}
+	for j, c := range va.p.residCols {
+		va.sparse[c] = b.Cols[va.p.residPos[j]].DatumAt(i)
+	}
+	return exec.EvalBool(va.p.residual, va.ctx, va.sparse)
+}
+
+// newGroup registers the group whose encoded key is in va.buf, taking its
+// key values from batch row i.
+func (va *vecAgg) newGroup(b *colstore.Batch, i int) int {
+	g := len(va.keys)
+	va.index[string(va.buf)] = g
+	var key types.Row
+	if len(va.p.groupIdx) > 0 {
+		key = make(types.Row, len(va.p.groupIdx))
+		for k, gi := range va.p.groupIdx {
+			key[k] = b.Cols[gi].DatumAt(i)
+		}
+	}
+	va.keys = append(va.keys, key)
+	for range va.p.aggKinds {
+		va.states = append(va.states, vecState{})
+	}
+	return g
+}
+
+// rows renders the partial result. A global aggregate over an empty
+// partition still emits its identity row (count=0, sums NULL), mirroring
+// exec.HashAgg.
+func (va *vecAgg) rows() []types.Row {
+	p := va.p
+	nAggs := len(p.aggKinds)
+	if len(va.keys) == 0 && len(p.groupIdx) == 0 {
+		va.keys = append(va.keys, nil)
+		va.states = make([]vecState, nAggs)
+	}
+	rows := make([]types.Row, len(va.keys))
+	for g, key := range va.keys {
+		row := make(types.Row, 0, len(key)+nAggs)
+		row = append(row, key...)
+		for a, kind := range p.aggKinds {
+			st := &va.states[g*nAggs+a]
+			switch kind {
+			case exec.AggCountStar, exec.AggCount:
+				row = append(row, types.NewInt(st.count))
+			case exec.AggSum:
+				switch {
+				case !st.any:
+					row = append(row, types.Null)
+				case st.isF:
+					row = append(row, types.NewFloat(st.sumF))
+				default:
+					row = append(row, types.NewInt(st.sumI))
+				}
+			case exec.AggMin, exec.AggMax:
+				if !st.any {
 					row = append(row, types.Null)
 				} else {
-					row = append(row, acc.minMax[a])
+					row = append(row, st.minMax)
 				}
 			default:
 				row = append(row, types.Null)
 			}
 		}
-		rows = append(rows, row)
+		rows[g] = row
 	}
-	return rows, nil
+	return rows
+}
+
+// appendVecKey appends the group-key encoding of vector row i; it is
+// byte-identical to exec.AppendKey(buf, v.DatumAt(i)).
+func appendVecKey(buf []byte, v *colstore.Vector, i int) []byte {
+	if v.IsNull(i) {
+		return exec.AppendKeyNull(buf)
+	}
+	switch v.Kind {
+	case types.KindInt:
+		return exec.AppendKeyInt(buf, v.Ints[i])
+	case types.KindTime:
+		return exec.AppendKeyTime(buf, v.Ints[i])
+	case types.KindFloat:
+		return exec.AppendKeyFloat(buf, v.Floats[i])
+	case types.KindString:
+		return exec.AppendKeyString(buf, v.Strs[i])
+	case types.KindBool:
+		return exec.AppendKeyBool(buf, v.Bools[i])
+	default:
+		return exec.AppendKey(buf, v.DatumAt(i))
+	}
 }

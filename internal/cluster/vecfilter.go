@@ -36,13 +36,13 @@ func (vf *vecFilter) apply(b *colstore.Batch, sel []bool) error {
 // compileVecFilter splits pred into conjuncts and compiles each
 // col-op-const comparison into a kernel; everything else is ANDed back
 // together as the residual. pos maps table columns to their scan
-// projection positions. Returns (nil, pred-equivalent) when nothing
-// vectorizes.
-func compileVecFilter(pred exec.Expr, schema *types.Schema, pos map[int]int) (*vecFilter, exec.Expr) {
+// projection positions; schemaLen is the table's column count. Returns
+// (nil, pred-equivalent) when nothing vectorizes.
+func compileVecFilter(pred exec.Expr, schemaLen int, pos map[int]int) (*vecFilter, exec.Expr) {
 	var vf vecFilter
 	var residual exec.Expr
 	for _, cj := range splitConjuncts(pred, nil) {
-		if k := compileVecKernel(cj, schema, pos); k != nil {
+		if k := compileVecKernel(cj, schemaLen, pos); k != nil {
 			vf.kernels = append(vf.kernels, k)
 			continue
 		}
@@ -61,7 +61,7 @@ func compileVecFilter(pred exec.Expr, schema *types.Schema, pos map[int]int) (*v
 // compileVecKernel recognizes one col-op-const conjunct (either
 // orientation) and returns its kernel, or nil when the conjunct must stay
 // row-wise.
-func compileVecKernel(e exec.Expr, schema *types.Schema, pos map[int]int) vecKernel {
+func compileVecKernel(e exec.Expr, schemaLen int, pos map[int]int) vecKernel {
 	b, ok := e.(*exec.BinOp)
 	if !ok {
 		return nil
@@ -82,7 +82,7 @@ func compileVecKernel(e exec.Expr, schema *types.Schema, pos map[int]int) vecKer
 	default:
 		return nil
 	}
-	if col.Index < 0 || col.Index >= schema.Len() {
+	if col.Index < 0 || col.Index >= schemaLen {
 		return nil
 	}
 	at, ok := pos[col.Index]

@@ -564,14 +564,95 @@ type aggState struct {
 	isFloat bool
 	min     types.Datum
 	max     types.Datum
-	seen    map[string]struct{} // for DISTINCT
+	seen    map[string]struct{} // for DISTINCT, keyed by group-key encoding
 	any     bool
 }
 
-// Agg is a hash aggregation: output columns are the group-by values
-// followed by the aggregate results. With no group-by expressions it emits
-// exactly one row (aggregates over the whole input, zero-row input
-// included).
+// HashAgg is push-style hash aggregation: callers Add rows one at a time
+// (straight from a scan callback, say) and collect the result with Rows.
+// Output rows are the group-by values followed by the aggregate results,
+// groups in first-seen order. With no group-by expressions Rows returns
+// exactly one row, zero-row input included.
+//
+// Adding a row to an existing group allocates nothing: the group key is
+// encoded into a reused buffer (see AppendKey) and the map is probed
+// without converting it to a string.
+type HashAgg struct {
+	groupBy []Expr
+	aggs    []AggSpec
+	index   map[string]int // encoded group key -> group ordinal
+	keys    []types.Row    // group-by values per group
+	states  []aggState     // group g's states at [g*len(aggs), (g+1)*len(aggs))
+	vals    types.Row      // group-by values scratch
+	buf     []byte         // group-key scratch
+	dbuf    []byte         // DISTINCT-value scratch
+}
+
+// NewHashAgg builds an empty aggregation.
+func NewHashAgg(groupBy []Expr, aggs []AggSpec) *HashAgg {
+	return &HashAgg{groupBy: groupBy, aggs: aggs, index: make(map[string]int), vals: make(types.Row, len(groupBy))}
+}
+
+// Add accumulates one input row.
+func (h *HashAgg) Add(ctx *Ctx, row types.Row) error {
+	h.buf = h.buf[:0]
+	for i, g := range h.groupBy {
+		v, err := g.Eval(ctx, row)
+		if err != nil {
+			return err
+		}
+		h.vals[i] = v
+		h.buf = AppendKey(h.buf, v)
+	}
+	grp, ok := h.index[string(h.buf)]
+	if !ok {
+		grp = h.newGroup(string(h.buf), h.vals.Clone())
+	}
+	states := h.states[grp*len(h.aggs) : (grp+1)*len(h.aggs)]
+	for i, spec := range h.aggs {
+		if err := states[i].update(ctx, spec, row, &h.dbuf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newGroup registers a group under its encoded key and returns its ordinal.
+func (h *HashAgg) newGroup(enc string, key types.Row) int {
+	grp := len(h.keys)
+	h.index[enc] = grp
+	h.keys = append(h.keys, key)
+	for _, spec := range h.aggs {
+		var s aggState
+		if spec.Distinct {
+			s.seen = make(map[string]struct{})
+		}
+		h.states = append(h.states, s)
+	}
+	return grp
+}
+
+// Rows returns the aggregated rows.
+func (h *HashAgg) Rows() []types.Row {
+	if len(h.keys) == 0 && len(h.groupBy) == 0 {
+		h.newGroup("", nil) // identity row: count=0, sums NULL
+	}
+	rows := make([]types.Row, len(h.keys))
+	for g, key := range h.keys {
+		out := make(types.Row, 0, len(key)+len(h.aggs))
+		out = append(out, key...)
+		for i, spec := range h.aggs {
+			out = append(out, h.states[g*len(h.aggs)+i].result(spec))
+		}
+		rows[g] = out
+	}
+	return rows
+}
+
+// Agg is a hash aggregation operator over a HashAgg: output columns are the
+// group-by values followed by the aggregate results. With no group-by
+// expressions it emits exactly one row (aggregates over the whole input,
+// zero-row input included).
 type Agg struct {
 	Child   Operator
 	GroupBy []Expr
@@ -591,14 +672,7 @@ func (a *Agg) Open(ctx *Ctx) error {
 		return err
 	}
 	defer a.Child.Close()
-
-	type group struct {
-		key    types.Row
-		states []*aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-
+	h := NewHashAgg(a.GroupBy, a.Aggs)
 	for {
 		row, err := a.Child.Next(ctx)
 		if err == io.EOF {
@@ -607,80 +681,16 @@ func (a *Agg) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		keyVals := make(types.Row, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(ctx, row)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-		}
-		key := rowKey(keyVals)
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{key: keyVals, states: make([]*aggState, len(a.Aggs))}
-			for i := range grp.states {
-				grp.states[i] = &aggState{}
-				if a.Aggs[i].Distinct {
-					grp.states[i].seen = make(map[string]struct{})
-				}
-			}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		for i, spec := range a.Aggs {
-			if err := grp.states[i].update(ctx, spec, row); err != nil {
-				return err
-			}
+		if err := h.Add(ctx, row); err != nil {
+			return err
 		}
 	}
-
-	// No groups and no group-by: emit the identity row.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
-		states := make([]*aggState, len(a.Aggs))
-		for i := range states {
-			states[i] = &aggState{}
-		}
-		out := make(types.Row, 0, len(a.Aggs))
-		for i, spec := range a.Aggs {
-			out = append(out, states[i].result(spec))
-		}
-		a.groups = []types.Row{out}
-		a.pos = 0
-		return nil
-	}
-
-	a.groups = a.groups[:0]
-	for _, key := range order {
-		grp := groups[key]
-		out := make(types.Row, 0, len(grp.key)+len(a.Aggs))
-		out = append(out, grp.key...)
-		for i, spec := range a.Aggs {
-			out = append(out, grp.states[i].result(spec))
-		}
-		a.groups = append(a.groups, out)
-	}
+	a.groups = h.Rows()
 	a.pos = 0
 	return nil
 }
 
-func rowKey(vals types.Row) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		if v.IsNull() {
-			sb.WriteString("~|")
-			continue
-		}
-		if v.Kind() == types.KindInt || v.Kind() == types.KindFloat {
-			fmt.Fprintf(&sb, "n:%g|", v.Float())
-		} else {
-			fmt.Fprintf(&sb, "%d:%s|", v.Kind(), v.String())
-		}
-	}
-	return sb.String()
-}
-
-func (s *aggState) update(ctx *Ctx, spec AggSpec, row types.Row) error {
+func (s *aggState) update(ctx *Ctx, spec AggSpec, row types.Row, dbuf *[]byte) error {
 	if spec.Kind == AggCountStar {
 		s.count++
 		return nil
@@ -693,11 +703,11 @@ func (s *aggState) update(ctx *Ctx, spec AggSpec, row types.Row) error {
 		return nil // SQL aggregates skip NULLs
 	}
 	if spec.Distinct {
-		k := rowKey(types.Row{v})
-		if _, dup := s.seen[k]; dup {
+		*dbuf = AppendKey((*dbuf)[:0], v)
+		if _, dup := s.seen[string(*dbuf)]; dup {
 			return nil
 		}
-		s.seen[k] = struct{}{}
+		s.seen[string(*dbuf)] = struct{}{}
 	}
 	s.count++
 	switch spec.Kind {
@@ -918,7 +928,8 @@ func (l *Limit) Close() error { return l.Child.Close() }
 // Distinct removes duplicate rows.
 type Distinct struct {
 	Child Operator
-	seen  map[string]struct{}
+	seen  map[string]struct{} // group-key encodings of emitted rows
+	buf   []byte
 }
 
 // Schema implements Operator.
@@ -937,11 +948,11 @@ func (d *Distinct) Next(ctx *Ctx) (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := rowKey(row)
-		if _, dup := d.seen[k]; dup {
+		d.buf = AppendRowKey(d.buf[:0], row)
+		if _, dup := d.seen[string(d.buf)]; dup {
 			continue
 		}
-		d.seen[k] = struct{}{}
+		d.seen[string(d.buf)] = struct{}{}
 		return row, nil
 	}
 }
