@@ -368,14 +368,15 @@ func shufflePart(key string, n int) int {
 }
 
 // shuffleJoin hash-partitions both inputs by join key across the target
-// DNs. Producer goroutines (one per physical source fragment, capped per
-// side at the cluster's parallel degree) scan their fragment and write
-// rows into per-(source,target) bounded queues; every batch that changes
-// nodes is charged as a shuffle_part message. One consumer fragment per
-// target drains its build queues into a hash table, then probes with its
-// probe queues. The consumer Exchange runs every target concurrently —
-// required for progress, since producers block on full queues — so
-// ParallelDegree caps producers instead.
+// DNs. Producer goroutines (one per physical source fragment) scan their
+// fragment and write rows into per-(source,target) bounded queues; every
+// batch that changes nodes is charged as a shuffle_part message. One
+// consumer fragment per target drains its build queues into a hash table,
+// then probes with its probe queues. Progress needs every producer and
+// every consumer running at once: a consumer drains its sources in fixed
+// order, so a producer that has not started (say, capped by
+// ParallelDegree) stalls the consumers while the running producers block
+// on full queues.
 func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 	c := a.s.c
 	return &exec.Exchange{
@@ -449,13 +450,10 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 				startOnce.Do(func() {
 					now := ctx.Now
 					spawn := func(side *joinSide, part *exec.Partitioner) {
-						sem := make(chan struct{}, c.parallelDegree())
 						for i := range side.srcs {
 							producerWG.Add(1)
 							go func(src int) {
 								defer producerWG.Done()
-								sem <- struct{}{}
-								defer func() { <-sem }()
 								if err := produce(exec.NewCtx(now), side, part, src); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
 									fail(err)
 								}

@@ -5,9 +5,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/plan"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // setupStar loads a small star schema: fact and big share a distribution
@@ -43,9 +45,13 @@ func setupStar(t *testing.T, c *Cluster) *Session {
 // interleave fragments differently).
 func fingerprint(t *testing.T, s *Session, sql string) string {
 	t.Helper()
-	res := mustExec(t, s, sql)
-	lines := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
+	return digestRows(mustExec(t, s, sql).Rows)
+}
+
+// digestRows renders rows as a sorted multiset digest.
+func digestRows(rows []types.Row) string {
+	lines := make([]string, len(rows))
+	for i, r := range rows {
 		parts := make([]string, len(r))
 		for j, d := range r {
 			parts[j] = d.String()
@@ -115,6 +121,77 @@ func TestDistJoinIdentityMatrix(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDistJoinShuffleCrossesQueueBound shuffles more than
+// shuffleQueueCap*shuffleBatchRows rows through every (source, partition)
+// queue at parallel degrees 1 and 2. With producers capped below the
+// source count, a running producer blocked on a full queue while the
+// consumers waited for a source that never got a producer slot: the
+// statement hung. It must finish and return the degree-1 reference rows.
+func TestDistJoinShuffleCrossesQueueBound(t *testing.T) {
+	c := newCluster(t, 4, ModeGTMLite)
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE sa (k BIGINT, j BIGINT) DISTRIBUTE BY HASH(k)")
+	mustExec(t, s, "CREATE TABLE sb (k BIGINT, j BIGINT) DISTRIBUTE BY HASH(k)")
+	// 4 sources x 4 partitions: 12000 rows per side average 750 rows per
+	// queue, against a queue bound of 512.
+	const rows, perStmt = 12000, 500
+	for _, tb := range []string{"sa", "sb"} {
+		for lo := 0; lo < rows; lo += perStmt {
+			vals := make([]string, perStmt)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("(%d, %d)", lo+i, (lo+i)*7%rows)
+			}
+			mustExec(t, s, "INSERT INTO "+tb+" VALUES "+strings.Join(vals, ", "))
+		}
+	}
+	if bound := shuffleQueueCap * shuffleBatchRows; rows/16 <= bound {
+		t.Fatalf("fixture too small: %d rows per queue vs bound %d", rows/16, bound)
+	}
+	const q = "SELECT sa.k, sb.k FROM sa, sb WHERE sa.j = sb.j"
+	run := func() ([]types.Row, error) {
+		done := make(chan *Result, 1)
+		errc := make(chan error, 1)
+		go func() {
+			res, err := s.Exec(q)
+			if err != nil {
+				errc <- err
+				return
+			}
+			done <- res
+		}()
+		select {
+		case res := <-done:
+			return res.Rows, nil
+		case err := <-errc:
+			return nil, err
+		case <-time.After(30 * time.Second):
+			return nil, fmt.Errorf("shuffle join still running after 30s (deadlock)")
+		}
+	}
+
+	c.JoinPolicy = plan.DistJoinPolicy{Disable: true}
+	c.ParallelDegree = 1
+	ref, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != rows {
+		t.Fatalf("reference returned %d rows, want %d", len(ref), rows)
+	}
+	want := digestRows(ref)
+	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
+	for _, degree := range []int{1, 2} {
+		c.ParallelDegree = degree
+		got, err := run()
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if digestRows(got) != want {
+			t.Errorf("degree %d: shuffle rows differ from the degree-1 reference", degree)
 		}
 	}
 }

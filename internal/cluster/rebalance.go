@@ -526,7 +526,7 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 		// the stale copy, so the stale version must be stamped dead (by
 		// this same transaction) before the new version passes the PK
 		// uniqueness check.
-		if _, err := parts.rows[target].Delete(xid, &snap, func(r types.Row) bool {
+		if _, err := parts.rows[target].Delete(xid, &snap, nil, func(r types.Row) bool {
 			if !inBucket(r) {
 				return false
 			}

@@ -668,23 +668,72 @@ func (s *Session) routeWrite(ti *TableInfo, where sqlx.Expr) []int {
 }
 
 // routeByDistKey looks for a top-level `distkey = <literal>` conjunct.
-func routeByDistKey(c *Cluster, ti *TableInfo, scope *plan.Scope, where sqlx.Expr) (int, bool) {
+func routeByDistKey(c *Cluster, ti *TableInfo, scope *plan.Scope, where sqlx.Expr) (shard int, ok bool) {
+	eqLiterals(scope, where, func(col int, lit types.Datum) bool {
+		if col != ti.Meta.DistKey {
+			return true
+		}
+		shard, ok = c.shardFor(lit), true
+		return false
+	})
+	return shard, ok
+}
+
+// pkBinding returns, in PK-column order, the literal that top-level
+// `pkcol = <literal>` conjuncts of where bind to each primary-key column of
+// ti, or nil when some PK column is unbound. NULL literals, and literals
+// whose kind cannot compare with the column's (the full scan reports that
+// error), bind nothing. UPDATE and DELETE hand the key to storage, which
+// then visits only that key's PK-index bucket; the whole compiled
+// predicate still runs on each candidate, so hash collisions cannot change
+// the result.
+func pkBinding(ti *TableInfo, scope *plan.Scope, where sqlx.Expr) []types.Datum {
+	pk := ti.Meta.PKCols
+	if len(pk) == 0 || where == nil {
+		return nil
+	}
+	numeric := func(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
+	key := make([]types.Datum, len(pk))
+	bound := 0
+	eqLiterals(scope, where, func(col int, lit types.Datum) bool {
+		ck, lk := ti.Meta.Schema.Columns[col].Kind, lit.Kind()
+		if lit.IsNull() || (ck != lk && !(numeric(ck) && numeric(lk))) {
+			return true
+		}
+		for k, c := range pk {
+			if c == col && key[k].IsNull() {
+				key[k] = lit
+				bound++
+			}
+		}
+		return true
+	})
+	if bound < len(pk) {
+		return nil
+	}
+	return key
+}
+
+// eqLiterals calls fn with the resolved column and the literal of each
+// top-level `col = <literal>` conjunct of where, until fn returns false.
+func eqLiterals(scope *plan.Scope, where sqlx.Expr, fn func(col int, lit types.Datum) bool) {
 	for _, conj := range sqlx.SplitConjuncts(where) {
 		b, ok := conj.(*sqlx.BinaryOp)
 		if !ok || b.Op != sqlx.OpEq {
 			continue
 		}
-		col, lit := colLit(b)
-		if col == nil || lit == nil {
+		cr, lit := colLit(b)
+		if cr == nil || lit == nil {
 			continue
 		}
-		i, err := scope.Resolve(col.Table, col.Column)
-		if err != nil || i != ti.Meta.DistKey {
+		col, err := scope.Resolve(cr.Table, cr.Column)
+		if err != nil {
 			continue
 		}
-		return c.shardFor(lit.Value), true
+		if !fn(col, lit.Value) {
+			return
+		}
 	}
-	return 0, false
 }
 
 func colLit(b *sqlx.BinaryOp) (*sqlx.ColumnRef, *sqlx.Literal) {
@@ -747,6 +796,7 @@ func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
 		sets = append(sets, setc{col: i, e: ce})
 	}
 
+	key := pkBinding(ti, scope, up.Where)
 	targets := s.routeWrite(ti, up.Where)
 	if err := s.c.requireLive(targets); err != nil {
 		if ti.replicated {
@@ -770,7 +820,7 @@ func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
 		}
 		var evalErr error
 		guard := s.c.victimGuard(ti, dnID)
-		n, err := ti.rowParts()[dnID].Update(xid, snap,
+		n, err := ti.rowParts()[dnID].Update(xid, snap, key,
 			func(r types.Row) bool {
 				if guard != nil {
 					ok, err := guard(r)
@@ -844,6 +894,7 @@ func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
 			return nil, err
 		}
 	}
+	key := pkBinding(ti, scope, del.Where)
 	targets := s.routeWrite(ti, del.Where)
 	if err := s.c.requireLive(targets); err != nil {
 		if ti.replicated {
@@ -867,7 +918,7 @@ func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
 		}
 		var evalErr error
 		guard := s.c.victimGuard(ti, dnID)
-		n, err := ti.rowParts()[dnID].Delete(xid, snap, func(r types.Row) bool {
+		n, err := ti.rowParts()[dnID].Delete(xid, snap, key, func(r types.Row) bool {
 			if guard != nil {
 				ok, err := guard(r)
 				if err != nil {

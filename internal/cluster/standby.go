@@ -759,11 +759,16 @@ func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 			// Remove exactly one stored instance of the old version. An
 			// update then re-inserts the new version in the same
 			// transaction, so a shared primary key passes the uniqueness
-			// check (the stale version is already stamped dead by us).
-			key := encodeRow(rec.Old)
+			// check (the stale version is already stamped dead by us). On
+			// PK tables only the old key's index bucket is visited.
+			var key []types.Datum // nil without a PK: scan the heap
+			for _, c := range ti.Meta.PKCols {
+				key = append(key, rec.Old[c])
+			}
+			want := encodeRow(rec.Old)
 			matched := false
-			n, err := parts.rows[standbyID].Delete(xid, &snap, func(r types.Row) bool {
-				if matched || encodeRow(r) != key {
+			n, err := parts.rows[standbyID].Delete(xid, &snap, key, func(r types.Row) bool {
+				if matched || encodeRow(r) != want {
 					return false
 				}
 				matched = true

@@ -1,6 +1,7 @@
 // Package storage implements the per-data-node row storage engine of the
 // FI-MPPDB reproduction: an MVCC heap with PostgreSQL-style (xmin, xmax)
-// tuple stamping, hash indexes, predicate scans and vacuum.
+// tuple stamping, a composite primary-key hash index, predicate scans and
+// vacuum.
 //
 // Visibility is delegated to internal/txnkit so the same heap works under
 // purely local snapshots (GTM-lite single-shard fast path) and merged
@@ -38,27 +39,22 @@ type Table struct {
 	name   string
 	schema *types.Schema
 	heap   []Tuple
-	// indexes maps column position -> hash index (datum hash -> heap slots).
-	// Index entries are never removed on update/delete; visibility filtering
-	// happens at scan time and Vacuum rebuilds the index.
-	indexes map[int]map[uint64][]int
 	// pkCols are the primary-key column positions; empty means no PK.
 	pkCols []int
-	txm    *txnkit.TxnManager
+	// pk is the composite primary-key hash index: keyHash of a version's PK
+	// datums -> heap slots. Entries are never removed on update/delete;
+	// visibility filtering happens at probe time and Vacuum/Reap rebuild
+	// the index. nil when the table has no PK.
+	pk  map[uint64][]int
+	txm *txnkit.TxnManager
 }
 
 // NewTable creates an empty heap bound to the node's transaction manager.
 // pkCols may be nil.
 func NewTable(name string, schema *types.Schema, pkCols []int, txm *txnkit.TxnManager) *Table {
-	t := &Table{
-		name:    name,
-		schema:  schema,
-		indexes: make(map[int]map[uint64][]int),
-		pkCols:  pkCols,
-		txm:     txm,
-	}
-	for _, c := range pkCols {
-		t.indexes[c] = make(map[uint64][]int)
+	t := &Table{name: name, schema: schema, pkCols: pkCols, txm: txm}
+	if len(pkCols) > 0 {
+		t.pk = make(map[uint64][]int)
 	}
 	return t
 }
@@ -69,22 +65,6 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *types.Schema { return t.schema }
 
-// CreateIndex adds a hash index on the column at position col, backfilling
-// existing heap entries.
-func (t *Table) CreateIndex(col int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[col]; ok {
-		return
-	}
-	idx := make(map[uint64][]int)
-	for slot, tp := range t.heap {
-		h := types.Hash(tp.Row[col])
-		idx[h] = append(idx[h], slot)
-	}
-	t.indexes[col] = idx
-}
-
 // Insert appends a new tuple version owned by xid. The snapshot is used for
 // primary-key uniqueness checking.
 func (t *Table) Insert(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
@@ -92,14 +72,13 @@ func (t *Table) Insert(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) err
 	if err != nil {
 		return err
 	}
+	h := t.rowKeyHash(row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.pkCols) > 0 {
-		if t.pkExistsLocked(xid, snap, row) {
-			return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
-		}
+	if t.pk != nil && t.pkExistsLocked(xid, snap, row, h) {
+		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
 	}
-	t.appendLocked(Tuple{Xmin: xid, Row: row})
+	t.appendLocked(Tuple{Xmin: xid, Row: row}, h)
 	return nil
 }
 
@@ -111,12 +90,39 @@ func pkOf(row types.Row, pkCols []int) types.Row {
 	return out
 }
 
+// keyHashSeed starts a composite key hash (the FNV-1a offset basis).
+const keyHashSeed uint64 = 14695981039346656037
+
+// mixKey folds the next primary-key datum into a composite key hash.
+// types.Hash is numeric-by-float64, so keys equal under types.Equal hash
+// alike (INT 3 and FLOAT 3.0 included).
+func mixKey(h uint64, d types.Datum) uint64 {
+	return (h ^ types.Hash(d)) * 1099511628211 // FNV-1a prime
+}
+
+// keyHash is the PK-index hash of a key given in PK-column order.
+func keyHash(key []types.Datum) uint64 {
+	h := keyHashSeed
+	for _, d := range key {
+		h = mixKey(h, d)
+	}
+	return h
+}
+
+// rowKeyHash is keyHash of row's primary-key columns. It reads only the
+// immutable pkCols, so Insert calls it before taking the lock.
+func (t *Table) rowKeyHash(row types.Row) uint64 {
+	h := keyHashSeed
+	for _, c := range t.pkCols {
+		h = mixKey(h, row[c])
+	}
+	return h
+}
+
 // pkExistsLocked checks whether a visible (or own-uncommitted) tuple with
-// the same primary key exists.
-func (t *Table) pkExistsLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) bool {
-	c0 := t.pkCols[0]
-	slots := t.indexes[c0][types.Hash(row[c0])]
-	for _, s := range slots {
+// the same primary key as row (whose rowKeyHash is h) exists.
+func (t *Table) pkExistsLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row, h uint64) bool {
+	for _, s := range t.pk[h] {
 		tp := &t.heap[s]
 		if !t.sameKey(tp.Row, row) {
 			continue
@@ -138,12 +144,23 @@ func (t *Table) sameKey(a, b types.Row) bool {
 	return true
 }
 
-func (t *Table) appendLocked(tp Tuple) {
-	slot := len(t.heap)
+// appendLocked adds a version whose rowKeyHash is h.
+func (t *Table) appendLocked(tp Tuple, h uint64) {
+	if t.pk != nil {
+		t.pk[h] = append(t.pk[h], len(t.heap))
+	}
 	t.heap = append(t.heap, tp)
-	for col, idx := range t.indexes {
-		h := types.Hash(tp.Row[col])
-		idx[h] = append(idx[h], slot)
+}
+
+// rebuildIndexLocked re-derives the PK index after heap compaction.
+func (t *Table) rebuildIndexLocked() {
+	if t.pk == nil {
+		return
+	}
+	t.pk = make(map[uint64][]int, len(t.heap))
+	for slot, tp := range t.heap {
+		h := t.rowKeyHash(tp.Row)
+		t.pk[h] = append(t.pk[h], slot)
 	}
 }
 
@@ -162,45 +179,26 @@ func (t *Table) Scan(xid txnkit.XID, snap *txnkit.Snapshot, fn func(row types.Ro
 	}
 }
 
-// LookupEq scans only tuples whose indexed column col equals key, using the
-// hash index when present and falling back to a full scan otherwise.
-func (t *Table) LookupEq(xid txnkit.XID, snap *txnkit.Snapshot, col int, key types.Datum, fn func(row types.Row) bool) {
-	t.mu.RLock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		t.mu.RUnlock()
-		t.Scan(xid, snap, func(row types.Row) bool {
-			if types.Equal(row[col], key) {
-				return fn(row)
-			}
-			return true
-		})
-		return
+// matchLocked returns the slots of the versions visible to (xid, snap) that
+// satisfy pred (nil = all). A nil key, or a table without a PK, scans the
+// whole heap. A non-nil key (one datum per PK column, in PK order) visits
+// only that key's PK-index bucket; the bucket may also hold dead versions
+// and other keys whose hash collides, so pred must itself reject rows whose
+// key differs.
+func (t *Table) matchLocked(xid txnkit.XID, snap *txnkit.Snapshot, key []types.Datum, pred func(types.Row) bool) []int {
+	indexed := key != nil && t.pk != nil
+	var slots []int
+	n := len(t.heap)
+	if indexed {
+		slots = t.pk[keyHash(key)]
+		n = len(slots)
 	}
-	defer t.mu.RUnlock()
-	for _, s := range idx[types.Hash(key)] {
-		tp := &t.heap[s]
-		if !types.Equal(tp.Row[col], key) {
-			continue // hash collision
+	var match []int
+	for j := 0; j < n; j++ {
+		i := j
+		if indexed {
+			i = slots[j]
 		}
-		if t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
-			if !fn(tp.Row) {
-				return
-			}
-		}
-	}
-}
-
-// Update rewrites every visible tuple matching pred: the old version gets
-// xmax=xid, a new version with set(row) applied is appended. It returns the
-// number of updated tuples.
-func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	// Collect first: appending while iterating would rescan new versions.
-	var victims []int
-	for i := range t.heap {
 		tp := &t.heap[i]
 		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
 			continue
@@ -208,9 +206,21 @@ func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Ro
 		if pred != nil && !pred(tp.Row) {
 			continue
 		}
-		victims = append(victims, i)
+		match = append(match, i)
 	}
-	for _, i := range victims {
+	return match
+}
+
+// Update rewrites every visible tuple matching pred: the old version gets
+// xmax=xid, a new version with set(row) applied is appended. key narrows
+// the candidates as in matchLocked. It returns the number of updated
+// tuples.
+func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, key []types.Datum, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	// Collect first: appending while iterating would rescan new versions.
+	for _, i := range t.matchLocked(xid, snap, key, pred) {
 		tp := &t.heap[i]
 		if err := t.markDeletedLocked(tp, xid); err != nil {
 			return n, err
@@ -223,27 +233,20 @@ func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Ro
 		if err != nil {
 			return n, err
 		}
-		t.appendLocked(Tuple{Xmin: xid, Row: newRow})
+		t.appendLocked(Tuple{Xmin: xid, Row: newRow}, t.rowKeyHash(newRow))
 		n++
 	}
 	return n, nil
 }
 
 // Delete stamps xmax=xid on every visible tuple matching pred and returns
-// the count.
-func (t *Table) Delete(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool) (int, error) {
+// the count. key narrows the candidates as in matchLocked.
+func (t *Table) Delete(xid txnkit.XID, snap *txnkit.Snapshot, key []types.Datum, pred func(types.Row) bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for i := range t.heap {
-		tp := &t.heap[i]
-		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
-			continue
-		}
-		if pred != nil && !pred(tp.Row) {
-			continue
-		}
-		if err := t.markDeletedLocked(tp, xid); err != nil {
+	for _, i := range t.matchLocked(xid, snap, key, pred) {
+		if err := t.markDeletedLocked(&t.heap[i], xid); err != nil {
 			return n, err
 		}
 		n++
@@ -268,7 +271,7 @@ func (t *Table) markDeletedLocked(tp *Tuple, xid txnkit.XID) error {
 
 // Vacuum removes versions that can never become visible again: inserted by
 // an aborted txn, or deleted by a txn committed before horizon. It rebuilds
-// the indexes and returns the number of versions reclaimed.
+// the PK index and returns the number of versions reclaimed.
 func (t *Table) Vacuum(horizon txnkit.XID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -289,14 +292,7 @@ func (t *Table) Vacuum(horizon txnkit.XID) int {
 		kept = append(kept, tp)
 	}
 	t.heap = kept
-	for col := range t.indexes {
-		idx := make(map[uint64][]int)
-		for slot, tp := range t.heap {
-			h := types.Hash(tp.Row[col])
-			idx[h] = append(idx[h], slot)
-		}
-		t.indexes[col] = idx
-	}
+	t.rebuildIndexLocked()
 	return removed
 }
 
@@ -328,7 +324,7 @@ func (t *Table) UnsettledCount(pred func(types.Row) bool) int {
 }
 
 // Reap physically removes every heap version matching pred, regardless of
-// visibility, and rebuilds the indexes. It is the rebalancer's cleanup after
+// visibility, and rebuilds the PK index. It is the rebalancer's cleanup after
 // a bucket cutover (retired source rows) or an aborted move (half-copied
 // target rows): at those points the routing map guarantees no snapshot can
 // reach the rows. It returns the number of versions removed.
@@ -348,14 +344,7 @@ func (t *Table) Reap(pred func(types.Row) bool) int {
 		return 0
 	}
 	t.heap = kept
-	for col := range t.indexes {
-		idx := make(map[uint64][]int)
-		for slot, tp := range t.heap {
-			h := types.Hash(tp.Row[col])
-			idx[h] = append(idx[h], slot)
-		}
-		t.indexes[col] = idx
-	}
+	t.rebuildIndexLocked()
 	return removed
 }
 

@@ -100,7 +100,7 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	}
 	// Deleting then reinserting the same key is allowed.
 	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		if _, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int() == 2 }); err != nil {
+		if _, err := tbl.Delete(xid, snap, nil, func(r types.Row) bool { return r[0].Int() == 2 }); err != nil {
 			return err
 		}
 		return tbl.Insert(xid, snap, types.Row{types.NewInt(2), types.NewString("reborn")})
@@ -114,7 +114,7 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	tbl, txm := newTestTable(t, true)
 	insertRows(t, tbl, txm, 5)
 	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		n, err := tbl.Update(xid, snap,
+		n, err := tbl.Update(xid, snap, nil,
 			func(r types.Row) bool { return r[0].Int() == 3 },
 			func(r types.Row) (types.Row, error) {
 				r[1] = types.NewString("updated")
@@ -154,7 +154,7 @@ func TestDeleteHidesTuple(t *testing.T) {
 	tbl, txm := newTestTable(t, true)
 	insertRows(t, tbl, txm, 5)
 	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		n, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int()%2 == 0 })
+		n, err := tbl.Delete(xid, snap, nil, func(r types.Row) bool { return r[0].Int()%2 == 0 })
 		if n != 3 {
 			t.Errorf("deleted %d, want 3", n)
 		}
@@ -174,8 +174,8 @@ func TestAbortRollsBackEverything(t *testing.T) {
 	xid := txm.Begin()
 	snap := txm.LocalSnapshot()
 	tbl.Insert(xid, &snap, types.Row{types.NewInt(99), types.NewString("ghost")})
-	tbl.Delete(xid, &snap, func(r types.Row) bool { return r[0].Int() == 0 })
-	tbl.Update(xid, &snap, func(r types.Row) bool { return r[0].Int() == 1 },
+	tbl.Delete(xid, &snap, nil, func(r types.Row) bool { return r[0].Int() == 0 })
+	tbl.Update(xid, &snap, nil, func(r types.Row) bool { return r[0].Int() == 1 },
 		func(r types.Row) (types.Row, error) { r[1] = types.NewString("ghost2"); return r, nil })
 	txm.Abort(xid)
 
@@ -200,48 +200,124 @@ func TestWriteWriteConflict(t *testing.T) {
 	t2 := txm.Begin()
 	s2 := txm.LocalSnapshot()
 
-	if _, err := tbl.Delete(t1, &s1, nil); err != nil {
+	if _, err := tbl.Delete(t1, &s1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tbl.Delete(t2, &s2, nil)
+	_, err := tbl.Delete(t2, &s2, nil, nil)
 	if !errors.Is(err, ErrWriteConflict) {
 		t.Errorf("err = %v, want ErrWriteConflict", err)
 	}
 	// After t1 aborts, t2 can take over.
 	txm.Abort(t1)
-	if _, err := tbl.Delete(t2, &s2, nil); err != nil {
+	if _, err := tbl.Delete(t2, &s2, nil, nil); err != nil {
 		t.Errorf("takeover after abort failed: %v", err)
 	}
 	txm.Commit(t2)
 }
 
-func TestLookupEqUsesIndexAndFallback(t *testing.T) {
-	tbl, txm := newTestTable(t, true) // pk index on col 0
-	insertRows(t, tbl, txm, 100)
+// probeKey counts the rows a key-bound delete matches and the candidates
+// its predicate is asked about, then aborts so the table is unchanged.
+func probeKey(t *testing.T, tbl *Table, txm *txnkit.TxnManager, key []types.Datum, pred func(types.Row) bool) (matched, seen int) {
+	t.Helper()
+	xid := txm.Begin()
 	snap := txm.LocalSnapshot()
-
-	n := 0
-	tbl.LookupEq(0, &snap, 0, types.NewInt(42), func(r types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("indexed lookup found %d rows", n)
+	n, err := tbl.Delete(xid, &snap, key, func(r types.Row) bool { seen++; return pred(r) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Column 1 has no index: fallback full scan.
-	n = 0
-	tbl.LookupEq(0, &snap, 1, types.NewString("v7"), func(r types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("fallback lookup found %d rows", n)
+	if err := txm.Abort(xid); err != nil {
+		t.Fatal(err)
+	}
+	return n, seen
+}
+
+func idIs(v int64) func(types.Row) bool {
+	return func(r types.Row) bool { return r[0].Int() == v }
+}
+
+func TestKeyBoundDMLUsesIndexAndFallback(t *testing.T) {
+	tbl, txm := newTestTable(t, true) // PK (id)
+	insertRows(t, tbl, txm, 100)
+	if n, seen := probeKey(t, tbl, txm, []types.Datum{types.NewInt(42)}, idIs(42)); n != 1 || seen != 1 {
+		t.Errorf("key-bound delete matched %d after %d candidates, want 1 after 1", n, seen)
+	}
+	// A FLOAT key equal to the stored BIGINT lands in the same bucket.
+	if n, _ := probeKey(t, tbl, txm, []types.Datum{types.NewFloat(42)}, idIs(42)); n != 1 {
+		t.Errorf("float key matched %d rows, want 1", n)
+	}
+	// nil key: the whole heap.
+	if n, seen := probeKey(t, tbl, txm, nil, idIs(42)); n != 1 || seen != 100 {
+		t.Errorf("full-heap delete matched %d after %d candidates, want 1 after 100", n, seen)
+	}
+	// A table without a PK ignores the key and scans the whole heap.
+	nopk, txm2 := newTestTable(t, false)
+	insertRows(t, nopk, txm2, 100)
+	if n, seen := probeKey(t, nopk, txm2, []types.Datum{types.NewInt(42)}, idIs(42)); n != 1 || seen != 100 {
+		t.Errorf("no-PK delete matched %d after %d candidates, want 1 after 100", n, seen)
+	}
+	// A key-bound update sees only the key's versions, old and new.
+	for i := 0; i < 2; i++ {
+		err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+			seen := 0
+			n, err := tbl.Update(xid, snap, []types.Datum{types.NewInt(7)},
+				func(r types.Row) bool { seen++; return r[0].Int() == 7 },
+				func(r types.Row) (types.Row, error) { r[1] = types.NewString("u"); return r, nil })
+			if n != 1 || seen != 1 {
+				t.Errorf("update %d matched %d after %d candidates, want 1 after 1", i, n, seen)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestCreateIndexBackfills(t *testing.T) {
-	tbl, txm := newTestTable(t, false)
-	insertRows(t, tbl, txm, 50)
-	tbl.CreateIndex(1)
-	snap := txm.LocalSnapshot()
-	n := 0
-	tbl.LookupEq(0, &snap, 1, types.NewString("v9"), func(r types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("found %d rows via backfilled index", n)
+func TestCompositeKeyIndex(t *testing.T) {
+	txm := txnkit.NewTxnManager()
+	schema := types.NewSchema(
+		types.Column{Name: "w", Kind: types.KindInt},
+		types.Column{Name: "d", Kind: types.KindInt},
+		types.Column{Name: "v", Kind: types.KindString},
+	)
+	tbl := NewTable("wd", schema, []int{0, 1}, txm)
+	row := func(w, d int64) types.Row {
+		return types.Row{types.NewInt(w), types.NewInt(d), types.NewString("x")}
+	}
+	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		for w := int64(0); w < 3; w++ {
+			for d := int64(0); d < 10; d++ {
+				if err := tbl.Insert(xid, snap, row(w, d)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("keys differing only in the second column must coexist: %v", err)
+	}
+	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		return tbl.Insert(xid, snap, row(2, 7))
+	})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Errorf("duplicate composite key: err = %v, want ErrDuplicateKey", err)
+	}
+	key := []types.Datum{types.NewInt(2), types.NewFloat(7)}
+	pred := func(r types.Row) bool { return r[0].Int() == 2 && r[1].Int() == 7 }
+	if n, seen := probeKey(t, tbl, txm, key, pred); n != 1 || seen != 1 {
+		t.Errorf("composite key matched %d after %d candidates, want 1 after 1", n, seen)
+	}
+	// The key datums are in PK order: (7, 2) is another key.
+	if n, _ := probeKey(t, tbl, txm, []types.Datum{types.NewInt(7), types.NewInt(2)}, pred); n != 0 {
+		t.Errorf("swapped key matched %d rows, want 0", n)
+	}
+	// After Reap the index is rebuilt over the compacted heap.
+	if got := tbl.Reap(func(r types.Row) bool { return r[0].Int() == 0 }); got != 10 {
+		t.Fatalf("reaped %d, want 10", got)
+	}
+	if n, seen := probeKey(t, tbl, txm, key, pred); n != 1 || seen != 1 {
+		t.Errorf("after reap: matched %d after %d candidates, want 1 after 1", n, seen)
 	}
 }
 
@@ -250,7 +326,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	insertRows(t, tbl, txm, 10)
 	// Delete half, update two.
 	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		_, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int() < 5 })
+		_, err := tbl.Delete(xid, snap, nil, func(r types.Row) bool { return r[0].Int() < 5 })
 		return err
 	})
 	if err != nil {
@@ -274,12 +350,9 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	if got := countVisible(tbl, txm); got != 5 {
 		t.Errorf("visible after vacuum = %d, want 5", got)
 	}
-	// Index still works after rebuild.
-	s := txm.LocalSnapshot()
-	n := 0
-	tbl.LookupEq(0, &s, 0, types.NewInt(7), func(r types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("index lookup after vacuum found %d", n)
+	// The PK index still finds the key after the rebuild.
+	if n, seen := probeKey(t, tbl, txm, []types.Datum{types.NewInt(7)}, idIs(7)); n != 1 || seen != 1 {
+		t.Errorf("key probe after vacuum matched %d after %d candidates, want 1 after 1", n, seen)
 	}
 }
 
@@ -321,7 +394,7 @@ func TestVisibleCountProperty(t *testing.T) {
 				// Delete exactly one visible row (the smallest id).
 				run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
 					deleted := false
-					_, err := tbl.Delete(xid, snap, func(r types.Row) bool {
+					_, err := tbl.Delete(xid, snap, nil, func(r types.Row) bool {
 						if deleted {
 							return false
 						}

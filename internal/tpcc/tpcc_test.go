@@ -1,7 +1,9 @@
 package tpcc
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -145,4 +147,41 @@ func TestAbortsDoNotLeak(t *testing.T) {
 	if err := CheckInvariants(c, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// BenchmarkKeyBoundCustomerUpdate measures the Payment transaction's
+// customer UPDATE, which binds the whole primary key (c_w_id, c_d_id,
+// c_id), on a loaded 8-warehouse x 10-district x 100-customer database.
+// Run with:
+//
+//	go test -run '^$' -bench KeyBoundCustomerUpdate -benchmem ./internal/tpcc
+func BenchmarkKeyBoundCustomerUpdate(b *testing.B) {
+	c, err := cluster.New(cluster.Config{DataNodes: 4, Mode: cluster.ModeGTMLite})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(8, 0.9)
+	cfg.DistrictsPerWarehouse, cfg.CustomersPerDistrict, cfg.Items = 10, 100, 200
+	if err := Load(c, cfg); err != nil {
+		b.Fatal(err)
+	}
+	stmts := make([]string, 997) // prime: successive iterations hit different keys
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 1, c_payments = c_payments + 1 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d",
+			i%cfg.Warehouses, i%cfg.DistrictsPerWarehouse, i%cfg.CustomersPerDistrict)
+	}
+	s := c.NewSession()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(stmts[i%len(stmts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.RowsAffected != 1 {
+			b.Fatalf("updated %d rows, want 1", res.RowsAffected)
+		}
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/float64(b.N), "us/op")
 }
